@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench bench-baseline bench-smoke bench-check golden ci
+.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench bench-baseline bench-smoke bench-check golden repro-check ci
 
 all: build
 
@@ -81,13 +81,15 @@ scenarios:
 	tail -n 5 scenario-traces/critical-path.txt
 
 # Fuzz smoke: each target briefly, catching regressions in the HTTP
-# input contract and the shard router's partition/merge laws without an
+# input contract, the shard router's partition/merge laws and QMF's
+# drop-set selection (against the full-sort oracle) without an
 # open-ended fuzzing session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzParseItems -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzQueryHandler -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzShardRouter -fuzztime=$(FUZZTIME) ./internal/engine/
+	$(GO) test -fuzz=FuzzQMFDropSet -fuzztime=$(FUZZTIME) ./internal/baseline/qmf/
 
 # Observability smoke: boot unitd on an ephemeral local port, then lint
 # the /metrics exposition (cmd/obslint retries the fetch while the server
@@ -131,5 +133,23 @@ bench-check:
 golden:
 	$(GO) test ./internal/experiments/ -run TestGoldenQuickReplication -v
 
+# Full-scale replication pin: re-run every paper experiment at the
+# default seeds and diff the output against the checked-in
+# results/unitexp-full.txt, and the Figure 3 CSVs against results/.
+# Only the "[<exp> completed in <t>s]" timing lines and the
+# "wrote <path>" lines, whose paths depend on -csv, are stripped first.
+# After an intentional behaviour change, regenerate the artifacts with
+#   go run ./cmd/unitexp -exp all -csv results > results/unitexp-full.txt
+# and review the diff like code.
+REPRO_DIR ?= repro-check
+REPRO_STRIP = grep -v -e '^\[[a-z0-9]* completed in [0-9.]*s\]$$' -e '^wrote '
+repro-check:
+	rm -rf $(REPRO_DIR) && mkdir -p $(REPRO_DIR)
+	$(GO) run ./cmd/unitexp -exp all -csv $(REPRO_DIR) > $(REPRO_DIR)/unitexp-full.txt
+	$(REPRO_STRIP) results/unitexp-full.txt > $(REPRO_DIR)/want.txt
+	$(REPRO_STRIP) $(REPRO_DIR)/unitexp-full.txt > $(REPRO_DIR)/got.txt
+	diff -u $(REPRO_DIR)/want.txt $(REPRO_DIR)/got.txt
+	for f in results/fig3-*.csv; do cmp $$f $(REPRO_DIR)/$${f#results/} || exit 1; done
+
 # Everything CI runs, in CI's order.
-ci: build lint test race chaos scenarios obs-smoke
+ci: build lint test race chaos scenarios obs-smoke repro-check

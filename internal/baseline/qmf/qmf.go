@@ -21,8 +21,6 @@
 package qmf
 
 import (
-	"sort"
-
 	"unitdb/internal/engine"
 	"unitdb/internal/stats"
 	"unitdb/internal/txn"
@@ -42,8 +40,11 @@ type Config struct {
 	OverloadUtilization float64
 	// Step is the per-decision adjustment of the admit and drop fractions.
 	Step float64
-	// RecomputeEvery throttles the O(n log n) drop-set resort to once per
-	// this many control ticks.
+	// RecomputeEvery sets QMF's drop-set recompute cadence: besides every
+	// tick on which the drop fraction moves, the drop set is re-derived
+	// from the current access/update ratios once per this many control
+	// ticks. It changes which updates QMF drops, so the default of 5 is
+	// pinned by the experiment goldens.
 	RecomputeEvery int
 	// Seed drives the probabilistic admission gate.
 	Seed uint64
@@ -72,6 +73,7 @@ type QMF struct {
 	dropFrac  float64 // fraction of items whose updates are dropped
 
 	dropSet   []bool
+	aurs      []aur // recomputeDropSet's scratch buffer, capacity NumItems
 	acc       []int // per-item committed accesses
 	upd       []int // per-item source updates
 	feedItems int   // items with an update feed
@@ -109,6 +111,7 @@ func (q *QMF) Attach(e *engine.Engine) {
 	n := e.Workload().NumItems
 	q.rng = stats.NewRNG(q.cfg.Seed)
 	q.dropSet = make([]bool, n)
+	q.aurs = make([]aur, 0, n)
 	q.acc = make([]int, n)
 	q.upd = make([]int, n)
 	q.feedItems = len(e.Workload().Updates)
@@ -243,32 +246,80 @@ func (q *QMF) clamp() {
 	}
 }
 
-// recomputeDropSet marks the dropFrac fraction of update-receiving items
-// with the lowest access-per-update ratio for dropping.
-func (q *QMF) recomputeDropSet() {
-	type aur struct {
-		item  int
-		ratio float64
+// aur is one update-receiving item keyed by its access-per-update ratio.
+type aur struct {
+	ratio float64
+	item  int
+}
+
+// less is the drop-set order: ascending ratio, ties broken by item id.
+// Ratios are finite (only items with updates are keyed), so this is a
+// strict total order and the k least keys form a unique set.
+func (a aur) less(b aur) bool {
+	if a.ratio != b.ratio {
+		return a.ratio < b.ratio
 	}
-	var items []aur
+	return a.item < b.item
+}
+
+// recomputeDropSet marks the dropFrac fraction of update-receiving items
+// with the lowest access-per-update ratio for dropping. Only membership
+// matters, so it selects the k least keys instead of sorting them all.
+func (q *QMF) recomputeDropSet() {
+	clear(q.dropSet)
+	items := q.aurs[:0]
 	for item, u := range q.upd {
 		if u == 0 {
 			continue // never updated: nothing to drop
 		}
-		items = append(items, aur{item: item, ratio: float64(q.acc[item]) / float64(u)})
+		items = append(items, aur{ratio: float64(q.acc[item]) / float64(u), item: item})
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].ratio != items[j].ratio {
-			return items[i].ratio < items[j].ratio
-		}
-		return items[i].item < items[j].item
-	})
+	q.aurs = items
 	k := int(q.dropFrac * float64(len(items)))
-	for i := range q.dropSet {
-		q.dropSet[i] = false
+	if k == 0 {
+		return
 	}
-	for i := 0; i < k; i++ {
-		q.dropSet[items[i].item] = true
+	selectLeast(items, k)
+	for _, a := range items[:k] {
+		q.dropSet[a.item] = true
+	}
+}
+
+// selectLeast reorders a so that a[:k] holds its k least elements, in no
+// particular order, for 0 < k < len(a). It is quickselect with a
+// median-of-three pivot: expected linear time, no allocation. Invariant:
+// everything in a[:lo] is less than everything in a[lo:], everything in
+// a[hi:] is greater than everything in a[:hi], and lo <= k < hi.
+func selectLeast(a []aur, k int) {
+	lo, hi := 0, len(a)
+	for hi-lo > 1 {
+		// Median of a[lo], a[mid], a[last] into a[last] as the pivot.
+		mid, last := lo+(hi-lo)/2, hi-1
+		if a[mid].less(a[lo]) {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[last].less(a[lo]) {
+			a[last], a[lo] = a[lo], a[last]
+		}
+		if a[mid].less(a[last]) {
+			a[mid], a[last] = a[last], a[mid]
+		}
+		pivot, p := a[last], lo
+		for j := lo; j < last; j++ {
+			if a[j].less(pivot) {
+				a[p], a[j] = a[j], a[p]
+				p++
+			}
+		}
+		a[p], a[last] = a[last], a[p]
+		switch {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
 	}
 }
 

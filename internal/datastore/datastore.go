@@ -31,6 +31,7 @@ type Store struct {
 	totalAccesses int
 	totalApplied  int
 	totalDropped  int
+	stale         int // items with Udrop > 0
 }
 
 // New creates a store with n data items, all fully fresh at version 0.
@@ -65,6 +66,9 @@ func (s *Store) ApplyUpdate(i int, value, now float64) {
 	it.Value = value
 	it.Version++
 	it.LastApplied = now
+	if it.lag.Drops() > 0 {
+		s.stale--
+	}
 	it.lag.Apply()
 	s.applied[i]++
 	s.totalApplied++
@@ -74,6 +78,9 @@ func (s *Store) ApplyUpdate(i int, value, now float64) {
 // superseded in queue by a newer one); the item grows one lag unit staler.
 func (s *Store) DropUpdate(i int) {
 	s.check(i)
+	if s.items[i].lag.Drops() == 0 {
+		s.stale++
+	}
 	s.items[i].lag.Drop()
 	s.dropped[i]++
 	s.totalDropped++
@@ -128,16 +135,9 @@ func (s *Store) Totals() (accesses, applied, dropped int) {
 }
 
 // StaleItems returns how many items currently have at least one pending
-// dropped update.
-func (s *Store) StaleItems() int {
-	n := 0
-	for i := range s.items {
-		if s.items[i].lag.Drops() > 0 {
-			n++
-		}
-	}
-	return n
-}
+// dropped update. ApplyUpdate and DropUpdate, the only lag mutators, keep
+// the count, so this is O(1).
+func (s *Store) StaleItems() int { return s.stale }
 
 func (s *Store) check(i int) {
 	if i < 0 || i >= len(s.items) {

@@ -161,3 +161,36 @@ func TestDropApplyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestStaleItemsCounterProperty(t *testing.T) {
+	// Invariant: the maintained stale count equals a brute-force scan of
+	// Drops(i) > 0 after every step of any ApplyUpdate/DropUpdate
+	// interleaving, including applies to fresh items and repeated drops.
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		const n = 64
+		s := New(n)
+		for op := 0; op < 2000; op++ {
+			i := rng.Intn(n)
+			if rng.Float64() < 0.6 {
+				s.DropUpdate(i)
+			} else {
+				s.ApplyUpdate(i, rng.Float64(), float64(op))
+			}
+			want := 0
+			for j := 0; j < n; j++ {
+				if s.Drops(j) > 0 {
+					want++
+				}
+			}
+			if s.StaleItems() != want {
+				t.Logf("seed %d op %d: StaleItems = %d, scan = %d", seed, op, s.StaleItems(), want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
