@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench bench-baseline bench-smoke bench-check golden repro-check ci
+.PHONY: all build test shard-matrix race lint vet unitlint unitlint-self lint-baseline chaos scenarios fuzz obs-smoke bench bench-baseline bench-smoke bench-check golden repro-check perfbench-test ci
 
 all: build
 
@@ -151,5 +151,12 @@ repro-check:
 	diff -u $(REPRO_DIR)/want.txt $(REPRO_DIR)/got.txt
 	for f in results/fig3-*.csv; do cmp $$f $(REPRO_DIR)/$${f#results/} || exit 1; done
 
+# The end-to-end benchmark harness (perfbench/, its own module) keeps
+# its unit tests green: percentile math, metric names against
+# BENCHMARK.json, profile layer attribution, and a small simulator pass
+# checked against internal/experiments.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # Everything CI runs, in CI's order.
-ci: build lint test race chaos scenarios obs-smoke repro-check
+ci: build lint test race chaos scenarios obs-smoke repro-check perfbench-test

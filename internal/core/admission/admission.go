@@ -76,14 +76,23 @@ func (r Reason) String() string {
 // heterogeneous user preferences (multi-preference extension, paper §3.1).
 type Resolver func(*txn.Txn) usm.Weights
 
+// C_flex moves in TAC/LAC steps of 10% (the paper's) and is clamped to
+// [minFlex, maxFlex]. The low floor matters: under a sustained update
+// overload the backlog-based EST is huge for every candidate, and repeated
+// Loosen signals must be able to effectively disarm the deadline check so
+// admissions resume and the controller can observe DMFs (which is what
+// triggers update degradation).
+const (
+	step    = 0.10
+	minFlex = 0.001
+	maxFlex = 16
+)
+
 // Controller is the admission-control state machine.
 type Controller struct {
 	weights usm.Weights
 	resolve Resolver
 	cflex   float64
-	step    float64
-	minFlex float64
-	maxFlex float64
 
 	admitted         int
 	rejectedDeadline int
@@ -98,30 +107,6 @@ type Controller struct {
 // Option configures a Controller.
 type Option func(*Controller)
 
-// WithStep overrides the TAC/LAC step (default 0.10, the paper's 10%).
-func WithStep(step float64) Option {
-	return func(c *Controller) {
-		if step <= 0 || step >= 1 {
-			panic(fmt.Sprintf("admission: step %v out of (0,1)", step))
-		}
-		c.step = step
-	}
-}
-
-// WithFlexBounds overrides the clamp range of C_flex (default [0.001, 16]).
-// The low floor matters: under a sustained update overload the backlog-based
-// EST is huge for every candidate, and repeated Loosen signals must be able
-// to effectively disarm the deadline check so admissions resume and the
-// controller can observe DMFs (which is what triggers update degradation).
-func WithFlexBounds(min, max float64) Option {
-	return func(c *Controller) {
-		if min <= 0 || max < min {
-			panic(fmt.Sprintf("admission: bad flex bounds [%v,%v]", min, max))
-		}
-		c.minFlex, c.maxFlex = min, max
-	}
-}
-
 // WithResolver installs a per-transaction weight resolver for
 // heterogeneous preference populations. Without one, the controller's own
 // weights apply to every transaction.
@@ -134,7 +119,7 @@ func New(w usm.Weights, opts ...Option) *Controller {
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Controller{weights: w, cflex: 1, step: 0.10, minFlex: 0.001, maxFlex: 16}
+	c := &Controller{weights: w, cflex: 1}
 	c.resolve = func(*txn.Txn) usm.Weights { return c.weights }
 	for _, o := range opts {
 		o(c)
@@ -147,23 +132,23 @@ func (c *Controller) CFlex() float64 { return c.cflex }
 
 // AtFloor reports whether C_flex sits at its lower clamp — i.e. admission
 // control is as loose as it can get and further Loosen signals are no-ops.
-func (c *Controller) AtFloor() bool { return c.cflex <= c.minFlex }
+func (c *Controller) AtFloor() bool { return c.cflex <= minFlex }
 
 // Tighten applies a TAC signal: C_flex grows by the step, making the
 // deadline check stricter.
 func (c *Controller) Tighten() {
-	c.cflex *= 1 + c.step
-	if c.cflex > c.maxFlex {
-		c.cflex = c.maxFlex
+	c.cflex *= 1 + step
+	if c.cflex > maxFlex {
+		c.cflex = maxFlex
 	}
 }
 
 // Loosen applies an LAC signal: C_flex shrinks by the step, letting more
 // queries in.
 func (c *Controller) Loosen() {
-	c.cflex *= 1 - c.step
-	if c.cflex < c.minFlex {
-		c.cflex = c.minFlex
+	c.cflex *= 1 - step
+	if c.cflex < minFlex {
+		c.cflex = minFlex
 	}
 }
 

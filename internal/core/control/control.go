@@ -14,8 +14,6 @@
 package control
 
 import (
-	"fmt"
-
 	"unitdb/internal/core/usm"
 	"unitdb/internal/stats"
 )
@@ -67,30 +65,12 @@ type LBC struct {
 	triggers  int
 }
 
-// Option configures an LBC.
-type Option func(*LBC)
-
-// WithThresholdFraction overrides the drop-trigger fraction of the USM
-// range (default 0.01, the paper's 1%).
-func WithThresholdFraction(f float64) Option {
-	return func(l *LBC) {
-		if f <= 0 || f >= 1 {
-			panic(fmt.Sprintf("control: threshold fraction %v out of (0,1)", f))
-		}
-		l.threshold = f * l.weights.Range()
-	}
-}
-
 // New creates a controller for the given weights. rng breaks cost ties.
-func New(w usm.Weights, rng *stats.RNG, opts ...Option) *LBC {
+func New(w usm.Weights, rng *stats.RNG) *LBC {
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
-	l := &LBC{weights: w, rng: rng, threshold: 0.01 * w.Range()}
-	for _, o := range opts {
-		o(l)
-	}
-	return l
+	return &LBC{weights: w, rng: rng, threshold: 0.01 * w.Range()}
 }
 
 // Threshold returns the USM-drop trigger threshold.
@@ -128,44 +108,15 @@ type Costs struct {
 	Fs float64 `json:"fs"`
 }
 
-// Decide runs the Adaptive Allocation Algorithm (paper Fig. 2) on the
-// window's outcome counts under the controller's own weights. For
-// heterogeneous preference populations use DecideTally, which carries the
-// per-query weighted costs.
-func (l *LBC) Decide(window usm.Counts) Action {
-	a, _ := l.DecideExplained(window)
-	return a
-}
-
-// DecideExplained is Decide returning, alongside the action, the
-// effective costs compared — see DecideTallyExplained.
-func (l *LBC) DecideExplained(window usm.Counts) (Action, Costs) {
-	var t usm.Tally
-	t.Counts = window
-	t.Gain = float64(window.Success)
-	t.RCost = l.weights.Cr * float64(window.Rejected)
-	t.FmCost = l.weights.Cfm * float64(window.DMF)
-	t.FsCost = l.weights.Cfs * float64(window.DSF)
-	return l.DecideTallyExplained(t)
-}
-
-// DecideTally runs the Adaptive Allocation Algorithm on a weighted tally:
-// the average rejection, DMF and DSF costs are compared directly, so
-// queries with different preference weights contribute their own penalties
-// (the multi-preference extension of paper §3.1). When every cost is zero
-// but failures exist — the naive all-zero-weights setting — the raw
-// failure ratios stand in, per Fig. 2 lines 2–3. A window with no failures
-// yields no action.
-func (l *LBC) DecideTally(window usm.Tally) Action {
-	a, _ := l.DecideTallyExplained(window)
-	return a
-}
-
-// DecideTallyExplained is DecideTally returning, alongside the action,
-// the effective costs the decision compared — the controller's inputs,
-// for the decision log. It is behaviorally identical to DecideTally
-// (same randomness consumption), so instrumented and bare callers replay
-// the same runs.
+// DecideTallyExplained runs the Adaptive Allocation Algorithm (paper
+// Fig. 2) on a weighted window tally and returns, alongside the action,
+// the effective costs it compared — the controller's inputs, for the
+// decision log. The average rejection, DMF and DSF costs are compared
+// directly, so queries with different preference weights contribute their
+// own penalties (the multi-preference extension of paper §3.1). When
+// every cost is zero but failures exist — the naive all-zero-weights
+// setting — the raw failure ratios stand in, per Fig. 2 lines 2–3. A
+// window with no failures yields no action.
 func (l *LBC) DecideTallyExplained(window usm.Tally) (Action, Costs) {
 	r, fm, fs := window.AvgCosts()
 	if r == 0 && fm == 0 && fs == 0 {

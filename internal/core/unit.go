@@ -9,47 +9,16 @@ import (
 	"math"
 
 	"unitdb/internal/core/admission"
-	"unitdb/internal/core/control"
+	"unitdb/internal/core/kernel"
 	"unitdb/internal/core/ufm"
 	"unitdb/internal/core/usm"
 	"unitdb/internal/engine"
-	"unitdb/internal/obs/trace"
-	"unitdb/internal/stats"
 	"unitdb/internal/txn"
 )
 
-// Config parameterizes UNIT.
-type Config struct {
-	// Weights are the USM penalty parameters; they drive both the LBC's
-	// cost comparison and the admission controller's USM check.
-	Weights usm.Weights
-	// ControlPeriod is the monitoring tick of the LBC (seconds).
-	ControlPeriod float64
-	// GracePeriod is the maximum time between allocation decisions; a
-	// windowed USM drop beyond the threshold decides earlier (paper Fig. 2
-	// line 1).
-	GracePeriod float64
-	// DegradeBatch is how many lottery draws one Degrade signal performs.
-	// Zero picks the item count (~1 draw per item per signal on average).
-	// Against the arithmetic Upgrade step this creates the intended
-	// bistability: items whose lottery weight exceeds the mean by enough
-	// accumulate multiplicative period growth faster than Upgrade's
-	// −C_uu·pi can pull them back and run away to deep degradation, while
-	// well-accessed items hover near their ideal period.
-	DegradeBatch int
-	// MinDecisionSamples is the minimum number of finalized query outcomes
-	// a window must hold before the LBC acts on it. Cost ratios measured
-	// over one or two queries are noise; acting on them whipsaws the
-	// actuators (a single spurious Upgrade undoes many Degrade draws).
-	MinDecisionSamples int
-	// Seed drives the lottery and tie-breaking randomness.
-	Seed uint64
-
-	// AdmissionOptions and ModulatorOptions forward tuning knobs.
-	AdmissionOptions []admission.Option
-	ModulatorOptions []ufm.Option
-	ControlOptions   []control.Option
-}
+// Config parameterizes UNIT. It is the control kernel's configuration:
+// the simulator policy runs the kernel as configured here.
+type Config = kernel.Config
 
 // DefaultConfig returns the paper-faithful configuration for the given
 // weights.
@@ -63,23 +32,15 @@ func DefaultConfig(w usm.Weights) Config {
 	}
 }
 
-// UNIT is the policy. Create it with New and hand it to engine.New.
+// UNIT is the policy: an engine.Policy adapter around the control kernel
+// (internal/core/kernel). Create it with New and hand it to engine.New.
 type UNIT struct {
 	cfg Config
 
-	e   *engine.Engine
-	ac  *admission.Controller
-	mod *ufm.Modulator
-	lbc *control.LBC
-	rng *stats.RNG
+	e *engine.Engine
+	k *kernel.Kernel
 
 	lastEnqueued []float64
-	// sinceDecision accumulates weighted outcome tallies between allocation
-	// decisions; tick windows feed the drop trigger.
-	sinceDecision usm.Tally
-	lastDecision  float64
-
-	nSignals map[string]int
 }
 
 // New creates a UNIT policy.
@@ -93,18 +54,17 @@ func New(cfg Config) *UNIT {
 	if cfg.GracePeriod < cfg.ControlPeriod {
 		cfg.GracePeriod = cfg.ControlPeriod
 	}
-	return &UNIT{cfg: cfg, nSignals: make(map[string]int)}
+	return &UNIT{cfg: cfg}
 }
 
 // Name implements engine.Policy.
 func (u *UNIT) Name() string { return "UNIT" }
 
 // Attach implements engine.Policy: it sizes the modulator from the
-// workload's update feeds and initializes the controllers.
+// workload's update feeds and builds the kernel.
 func (u *UNIT) Attach(e *engine.Engine) {
 	u.e = e
 	w := e.Workload()
-	u.rng = stats.NewRNG(u.cfg.Seed)
 	ideal := make([]float64, w.NumItems)
 	for i := range ideal {
 		ideal[i] = math.Inf(1)
@@ -112,42 +72,27 @@ func (u *UNIT) Attach(e *engine.Engine) {
 	for _, spec := range w.Updates {
 		ideal[spec.Item] = spec.Period
 	}
-	u.mod = ufm.New(ideal, u.rng.Split(), u.cfg.ModulatorOptions...)
 	// Per-transaction weight resolution makes the system USM check honor
 	// heterogeneous user preferences (multi-preference extension, §3.1).
-	acOpts := append([]admission.Option{admission.WithResolver(e.WeightsFor)}, u.cfg.AdmissionOptions...)
-	u.ac = admission.New(u.cfg.Weights, acOpts...)
-	u.lbc = control.New(u.cfg.Weights, u.rng.Split(), u.cfg.ControlOptions...)
+	u.k = kernel.New(u.cfg, ideal, e.TraceRecorder(), admission.WithResolver(e.WeightsFor))
 	u.lastEnqueued = make([]float64, w.NumItems)
 	for i := range u.lastEnqueued {
 		u.lastEnqueued[i] = math.Inf(-1)
 	}
-	if u.cfg.DegradeBatch == 0 {
-		u.cfg.DegradeBatch = w.NumItems
-	}
 }
 
 // Admission returns the admission controller (introspection and tests).
-func (u *UNIT) Admission() *admission.Controller { return u.ac }
+func (u *UNIT) Admission() *admission.Controller { return u.k.AC }
 
 // Modulator returns the update-frequency modulator (introspection).
-func (u *UNIT) Modulator() *ufm.Modulator { return u.mod }
+func (u *UNIT) Modulator() *ufm.Modulator { return u.k.Mod }
 
-// Controller returns the LBC (introspection).
-func (u *UNIT) Controller() *control.LBC { return u.lbc }
-
-// SignalCounts reports how many times each control signal fired.
-func (u *UNIT) SignalCounts() map[string]int {
-	out := make(map[string]int, len(u.nSignals))
-	for k, v := range u.nSignals {
-		out[k] = v
-	}
-	return out
-}
+// SignalCounts reports how many times each control signal was applied.
+func (u *UNIT) SignalCounts() map[string]int { return u.k.Signals() }
 
 // AdmitQuery implements engine.Policy via the two admission gates.
 func (u *UNIT) AdmitQuery(q *txn.Txn) bool {
-	return u.ac.Admit(u.e.Now(), q, u.e) == admission.Admitted
+	return u.k.AC.Admit(u.e.Now(), q, u.e) == admission.Admitted
 }
 
 // AdmitUpdate implements engine.Policy: an arriving source update executes
@@ -155,7 +100,7 @@ func (u *UNIT) AdmitQuery(q *txn.Txn) bool {
 // the last executed one.
 func (u *UNIT) AdmitUpdate(item int) bool {
 	now := u.e.Now()
-	period := u.mod.Period(item)
+	period := u.k.Mod.Period(item)
 	if now-u.lastEnqueued[item] < period*(1-1e-9) {
 		return false
 	}
@@ -166,7 +111,7 @@ func (u *UNIT) AdmitUpdate(item int) bool {
 // OnSourceUpdate implements engine.Policy: every feed arrival raises the
 // item's ticket (Eq. 7).
 func (u *UNIT) OnSourceUpdate(item int, exec float64) {
-	u.mod.OnUpdate(item, exec)
+	u.k.Mod.OnUpdate(item, exec)
 }
 
 // BeforeQueryDispatch implements engine.Policy: UNIT never postpones.
@@ -181,7 +126,7 @@ func (u *UNIT) BeforeQueryDispatch(*txn.Txn) bool { return true }
 // degraded → more queries fail), a death spiral.
 func (u *UNIT) OnQueryDone(q *txn.Txn) {
 	for _, item := range q.Items {
-		u.mod.OnQueryAccess(item, q.EstExec, q.RelDeadline)
+		u.k.Mod.OnQueryAccess(item, q.EstExec, q.RelDeadline)
 	}
 }
 
@@ -191,101 +136,11 @@ func (u *UNIT) OnUpdateApplied(*txn.Txn) {}
 // ControlPeriod implements engine.Policy.
 func (u *UNIT) ControlPeriod() float64 { return u.cfg.ControlPeriod }
 
-// OnControlTick implements engine.Policy: the LBC monitors the windowed
-// USM and decides when the window shows a drop beyond the threshold or the
-// grace period has elapsed (paper Fig. 2).
+// OnControlTick implements engine.Policy: the kernel folds the tick's
+// outcome window in and decides when the trigger fires (paper Fig. 2).
+// Every workload feed is known up front, one per item.
 func (u *UNIT) OnControlTick() {
-	u.sinceDecision.Add(u.e.Accountant().Rollover())
-	if u.sinceDecision.Counts.Total() < u.cfg.MinDecisionSamples {
-		return
-	}
-	now := u.e.Now()
-	windowUSM := u.sinceDecision.USM()
-	samples := u.sinceDecision.Counts.Total()
-	trigger := now-u.lastDecision >= u.cfg.GracePeriod
-	dropped := u.lbc.DropTriggered(windowUSM)
-	if dropped {
-		trigger = true
-	}
-	if !trigger {
-		return
-	}
-	action, costs := u.lbc.DecideTallyExplained(u.sinceDecision)
-	u.sinceDecision = usm.Tally{}
-	u.lastDecision = now
-	u.apply(action)
-	if rec := u.e.TraceRecorder(); rec != nil {
-		// Logged after apply so CFlex and the degraded count show the
-		// actuator settings the decision produced (paper Fig. 2 state).
-		rec.RecordDecision(trace.Decision{
-			T:             now,
-			Samples:       samples,
-			WindowUSM:     windowUSM,
-			RCost:         costs.R,
-			FmCost:        costs.Fm,
-			FsCost:        costs.Fs,
-			DropTriggered: dropped,
-			Action:        action.String(),
-			CFlex:         u.ac.CFlex(),
-			DegradedItems: u.mod.DegradedCount(),
-		})
-	}
-}
-
-func (u *UNIT) apply(a control.Action) {
-	if a.None() {
-		return
-	}
-	if a.LoosenAC {
-		if u.ac.AtFloor() {
-			// Admission is already wide open, so the rejections that made
-			// rejection the dominant cost stem from a capacity shortage the
-			// deadline check merely reports — update load is the only
-			// shedable capacity left. Fall through to Degrade so the
-			// controller cannot wedge itself at 100% rejection under a
-			// sustained update overload (e.g. the 150% "high" traces).
-			if u.warmedUp() {
-				u.mod.DegradeN(u.cfg.DegradeBatch)
-				u.nSignals["LAC-DU"]++
-			}
-		} else {
-			u.ac.Loosen()
-			u.nSignals["LAC"]++
-		}
-	}
-	if a.TightenAC {
-		// Tightening admission remedies DMF cost by converting would-be
-		// misses into rejections — a trade that only pays while a
-		// rejection is no more expensive than a miss. When the user says
-		// rejections hurt more (C_r > C_fm), the conversion raises the
-		// very cost the controller is minimizing, so the Degrade half of
-		// the DMF remedy acts alone.
-		if u.cfg.Weights.Cr <= u.cfg.Weights.Cfm {
-			u.ac.Tighten()
-			u.nSignals["TAC"]++
-		}
-	}
-	if a.DegradeUpdate {
-		if u.warmedUp() {
-			u.mod.DegradeN(u.cfg.DegradeBatch)
-			u.nSignals["DU"]++
-		}
-	}
-	if a.UpgradeUpdate {
-		u.mod.Upgrade()
-		u.nSignals["UU"]++
-	}
-}
-
-// warmedUp reports whether the ticket ledger has absorbed enough events to
-// discriminate hot from cold items. Degrading on an undifferentiated
-// ledger draws victims uniformly and pushes every item — hot ones included
-// — past the point the Upgrade signal can recover, so Degrade signals are
-// held back until roughly two updates per feed have been observed.
-func (u *UNIT) warmedUp() bool {
-	upd, _ := u.mod.EventsSeen()
-	feeds := len(u.e.Workload().Updates)
-	return feeds == 0 || upd >= 2*feeds
+	u.k.Tick(u.e.Now(), u.e.Accountant().Rollover(), len(u.e.Workload().Updates))
 }
 
 var _ engine.Policy = (*UNIT)(nil)

@@ -111,6 +111,10 @@ func TestUNITSignals(t *testing.T) {
 	}
 }
 
+// warmedUp reports whether the kernel's warm-up rule admits Degrade
+// signals yet, for the workload's feeds.
+func (u *UNIT) warmedUp() bool { return u.k.WarmedUp(len(u.e.Workload().Updates)) }
+
 func TestUNITWarmup(t *testing.T) {
 	w := smallTrace(t, workload.Med, workload.Uniform)
 	p := New(DefaultConfig(usm.Weights{}))

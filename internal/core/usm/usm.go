@@ -105,45 +105,3 @@ func (c Counts) USM(w Weights) float64 {
 	total := float64(c.Success) - w.Cr*float64(c.Rejected) - w.Cfm*float64(c.DMF) - w.Cfs*float64(c.DSF)
 	return total / float64(n)
 }
-
-// Accountant tracks outcome counts both cumulatively and over the current
-// control window, on behalf of the feedback controller.
-type Accountant struct {
-	weights Weights
-	total   Counts
-	window  Counts
-}
-
-// NewAccountant creates an accountant with the given weights.
-// It panics on invalid weights.
-func NewAccountant(w Weights) *Accountant {
-	if err := w.Validate(); err != nil {
-		panic(err)
-	}
-	return &Accountant{weights: w}
-}
-
-// Weights returns the metric weights.
-func (a *Accountant) Weights() Weights { return a.weights }
-
-// Record tallies one finalized outcome into both views.
-func (a *Accountant) Record(o txn.Outcome) {
-	a.total.Record(o)
-	a.window.Record(o)
-}
-
-// Total returns the cumulative counts.
-func (a *Accountant) Total() Counts { return a.total }
-
-// Window returns the counts since the last Rollover without resetting.
-func (a *Accountant) Window() Counts { return a.window }
-
-// Rollover returns the current window counts and starts a new window.
-func (a *Accountant) Rollover() Counts {
-	w := a.window
-	a.window = Counts{}
-	return w
-}
-
-// TotalUSM evaluates the cumulative USM.
-func (a *Accountant) TotalUSM() float64 { return a.total.USM(a.weights) }

@@ -129,28 +129,28 @@ func TestUSMExtremes(t *testing.T) {
 }
 
 func TestAccountantWindows(t *testing.T) {
-	a := NewAccountant(Weights{Cfm: 2})
-	a.Record(txn.OutcomeSuccess)
-	a.Record(txn.OutcomeDMF)
-	if a.Window().Total() != 2 || a.Total().Total() != 2 {
-		t.Fatal("window/total mismatch")
+	a := NewClassAccountant(Weights{Cfm: 2}, nil)
+	a.Record(txn.OutcomeSuccess, -1)
+	a.Record(txn.OutcomeDMF, -1)
+	if a.Total().Counts.Total() != 2 {
+		t.Fatal("total mismatch")
 	}
 	win := a.Rollover()
-	if win.Total() != 2 {
-		t.Fatalf("rolled window total = %d", win.Total())
+	if win.Counts.Total() != 2 {
+		t.Fatalf("rolled window total = %d", win.Counts.Total())
 	}
-	if a.Window().Total() != 0 {
+	if got := a.Rollover(); got.Counts.Total() != 0 {
 		t.Fatal("rollover did not reset the window")
 	}
-	a.Record(txn.OutcomeSuccess)
-	if a.Total().Total() != 3 {
+	a.Record(txn.OutcomeSuccess, -1)
+	if a.Total().Counts.Total() != 3 {
 		t.Fatal("cumulative lost after rollover")
 	}
-	if got := a.TotalUSM(); math.Abs(got-(2.0-2.0)/3.0) > 1e-12 {
-		t.Fatalf("TotalUSM = %v", got)
+	if got := a.Total().USM(); math.Abs(got-(2.0-2.0)/3.0) > 1e-12 {
+		t.Fatalf("total USM = %v", got)
 	}
-	if a.Weights().Cfm != 2 {
-		t.Fatal("weights accessor wrong")
+	if a.WeightsFor(-1).Cfm != 2 {
+		t.Fatal("default weights lost")
 	}
 }
 
@@ -160,7 +160,7 @@ func TestAccountantRejectsBadWeights(t *testing.T) {
 			t.Fatal("negative weights accepted")
 		}
 	}()
-	NewAccountant(Weights{Cr: -1})
+	NewClassAccountant(Weights{Cr: -1}, nil)
 }
 
 func TestCountsAdd(t *testing.T) {

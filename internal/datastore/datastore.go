@@ -104,7 +104,7 @@ func (s *Store) Drops(i int) int {
 // for a single item).
 func (s *Store) ItemFreshness(i int) float64 {
 	s.check(i)
-	return s.items[i].lag.Value(0)
+	return s.items[i].lag.Value()
 }
 
 // QueryFreshness returns Qu over the given read set: the minimum of the

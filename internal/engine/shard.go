@@ -357,40 +357,26 @@ func gatherAnswers(numQueries int, observers []*shardObserver) [][]GatherAnswer 
 }
 
 // mergeSlices folds one logical query's slice answers into its logical
-// outcome. Precedence: any rejected slice rejects the query (admit iff
-// every touched shard admits, one rejection tallied); else any deadline
-// miss is a logical DMF; else every slice committed and Eq. 1 composes —
-// freshness is the min over slices, the query succeeds iff that min
-// meets the requirement (equivalently: iff no slice was stale), and
+// outcome by the scatter-gather law txn.MergeOutcome: any rejected slice
+// rejects the query (one rejection tallied), else any deadline miss is a
+// logical DMF, else any stale slice makes it DSF. A committed logical
+// query composes Eq. 1 — freshness is the min over slices — and its
 // latency is the slowest slice's.
-func mergeSlices(subs []GatherAnswer, freshReq float64) (o txn.Outcome, fresh, latency float64) {
-	rejected, dmf := false, false
+func mergeSlices(subs []GatherAnswer) (o txn.Outcome, fresh, latency float64) {
+	o = txn.OutcomeSuccess
 	minFresh, maxLat := math.Inf(1), 0.0
 	for _, a := range subs {
-		switch a.Outcome {
-		case txn.OutcomeRejected:
-			rejected = true
-		case txn.OutcomeDMF:
-			dmf = true
-		default: // success or DSF: the slice committed and sampled freshness
-			if a.Fresh < minFresh {
-				minFresh = a.Fresh
-			}
-			if a.Latency > maxLat {
-				maxLat = a.Latency
-			}
+		o = txn.MergeOutcome(o, a.Outcome)
+		if a.Outcome == txn.OutcomeSuccess || a.Outcome == txn.OutcomeDSF {
+			// The slice committed and sampled freshness.
+			minFresh = math.Min(minFresh, a.Fresh)
+			maxLat = math.Max(maxLat, a.Latency)
 		}
 	}
-	if rejected {
-		return txn.OutcomeRejected, 0, 0
+	if o == txn.OutcomeRejected || o == txn.OutcomeDMF {
+		return o, 0, 0
 	}
-	if dmf {
-		return txn.OutcomeDMF, 0, 0
-	}
-	if minFresh >= freshReq {
-		return txn.OutcomeSuccess, minFresh, maxLat
-	}
-	return txn.OutcomeDSF, minFresh, maxLat
+	return o, minFresh, maxLat
 }
 
 // mergeShardResults assembles the front door's logical Results. Outcomes
@@ -413,7 +399,7 @@ func mergeShardResults(weights usm.Weights, w *workload.Workload, perShard []*Re
 			abandoned++
 			continue
 		}
-		o, fresh, lat := mergeSlices(subs, w.Queries[i].FreshReq)
+		o, fresh, lat := mergeSlices(subs)
 		if o == txn.OutcomeSuccess || o == txn.OutcomeDSF {
 			freshSum += fresh
 			latencySum += lat

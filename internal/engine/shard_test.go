@@ -259,7 +259,6 @@ func TestPartitionWorkloadSplit(t *testing.T) {
 // deadline miss is a logical DMF; otherwise the committed slices compose
 // by min freshness (Eq. 1).
 func TestMergeSlices(t *testing.T) {
-	const req = 0.9
 	sub := func(o txn.Outcome, fresh, lat float64) GatherAnswer {
 		return GatherAnswer{Outcome: o, Fresh: fresh, Latency: lat}
 	}
@@ -291,7 +290,7 @@ func TestMergeSlices(t *testing.T) {
 		}, txn.OutcomeDMF, 0, 0},
 	}
 	for _, tc := range cases {
-		o, fresh, lat := mergeSlices(tc.subs, req)
+		o, fresh, lat := mergeSlices(tc.subs)
 		if o != tc.want || fresh != tc.wantFresh || lat != tc.wantLat {
 			t.Errorf("%s: got (%v, %v, %v), want (%v, %v, %v)",
 				tc.name, o, fresh, lat, tc.want, tc.wantFresh, tc.wantLat)

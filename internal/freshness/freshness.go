@@ -1,16 +1,8 @@
-// Package freshness implements the three classes of data-freshness metrics
-// surveyed in paper §2.2: lag-based (the one UNIT uses, Eq. 1), time-based,
-// and divergence-based. Each tracker scores a single data item in (0, 1];
-// query freshness aggregates item scores with a strict minimum.
+// Package freshness implements the lag-based data-freshness metric of
+// paper Eq. 1, the one of the three classes surveyed in §2.2 that UNIT
+// optimizes. A tracker scores one data item in (0, 1]; query freshness
+// (internal/datastore) aggregates item scores with a strict minimum.
 package freshness
-
-import "fmt"
-
-// Tracker scores the freshness of one data item in (0, 1].
-type Tracker interface {
-	// Value returns the current freshness score at the given time.
-	Value(now float64) float64
-}
 
 // Lag is the lag-based tracker of paper Eq. 1: with k updates dropped since
 // the last applied one, freshness is 1/(1+k). This is the metric UNIT
@@ -33,98 +25,5 @@ func (l *Lag) Apply() { l.drops = 0 }
 // (Udrop in the paper).
 func (l *Lag) Drops() int { return l.drops }
 
-// Value implements Tracker; now is ignored for lag-based freshness.
-func (l *Lag) Value(now float64) float64 { return 1 / (1 + float64(l.drops)) }
-
-// TimeBased scores freshness by age: 1 at an update and decaying linearly
-// to 0 at maxAge. Useful when update feeds are aperiodic.
-type TimeBased struct {
-	lastUpdate float64
-	maxAge     float64
-}
-
-// NewTimeBased builds a time-based tracker; maxAge must be positive.
-func NewTimeBased(maxAge float64) *TimeBased {
-	if maxAge <= 0 {
-		panic(fmt.Sprintf("freshness: non-positive maxAge %v", maxAge))
-	}
-	return &TimeBased{maxAge: maxAge}
-}
-
-// Apply records an update applied at time now.
-func (t *TimeBased) Apply(now float64) { t.lastUpdate = now }
-
-// Value implements Tracker.
-func (t *TimeBased) Value(now float64) float64 {
-	age := now - t.lastUpdate
-	if age <= 0 {
-		return 1
-	}
-	if age >= t.maxAge {
-		return 0
-	}
-	return 1 - age/t.maxAge
-}
-
-// Divergence scores freshness by value distance between the stored copy and
-// the live source: 1 when identical, decaying linearly to 0 at tolerance.
-type Divergence struct {
-	stored    float64
-	live      float64
-	tolerance float64
-}
-
-// NewDivergence builds a divergence-based tracker; tolerance must be
-// positive.
-func NewDivergence(tolerance float64) *Divergence {
-	if tolerance <= 0 {
-		panic(fmt.Sprintf("freshness: non-positive tolerance %v", tolerance))
-	}
-	return &Divergence{tolerance: tolerance}
-}
-
-// Apply stores a refreshed copy of the live value.
-func (d *Divergence) Apply(value float64) {
-	d.stored = value
-	d.live = value
-}
-
-// SourceChanged records a change at the source that has not been applied.
-func (d *Divergence) SourceChanged(value float64) { d.live = value }
-
-// Value implements Tracker.
-func (d *Divergence) Value(now float64) float64 {
-	diff := d.live - d.stored
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff >= d.tolerance {
-		return 0
-	}
-	return 1 - diff/d.tolerance
-}
-
-// MinAggregate returns the strict-minimum aggregate of the given item
-// scores, the paper's Qu(q_i) = min_j Qu(d_j). An empty slice aggregates to
-// 1 (a query touching no data is vacuously fresh).
-func MinAggregate(scores []float64) float64 {
-	min := 1.0
-	for _, s := range scores {
-		if s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// LagQueryFreshness computes Eq. 1 directly from per-item drop counts.
-func LagQueryFreshness(drops []int) float64 {
-	min := 1.0
-	for _, k := range drops {
-		v := 1 / (1 + float64(k))
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
+// Value returns the item's freshness score, 1/(1+Udrop).
+func (l *Lag) Value() float64 { return 1 / (1 + float64(l.drops)) }

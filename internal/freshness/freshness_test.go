@@ -8,22 +8,22 @@ import (
 
 func TestLagFreshSequence(t *testing.T) {
 	l := NewLag()
-	if l.Value(0) != 1 {
+	if l.Value() != 1 {
 		t.Fatal("new item must be fully fresh")
 	}
 	l.Drop()
-	if l.Value(0) != 0.5 {
-		t.Fatalf("1 drop -> %v, want 0.5", l.Value(0))
+	if l.Value() != 0.5 {
+		t.Fatalf("1 drop -> %v, want 0.5", l.Value())
 	}
 	l.Drop()
-	if math.Abs(l.Value(0)-1.0/3) > 1e-12 {
-		t.Fatalf("2 drops -> %v", l.Value(0))
+	if math.Abs(l.Value()-1.0/3) > 1e-12 {
+		t.Fatalf("2 drops -> %v", l.Value())
 	}
 	if l.Drops() != 2 {
 		t.Fatalf("Drops = %d", l.Drops())
 	}
 	l.Apply()
-	if l.Value(0) != 1 || l.Drops() != 0 {
+	if l.Value() != 1 || l.Drops() != 0 {
 		t.Fatal("apply must reset staleness")
 	}
 }
@@ -32,10 +32,10 @@ func TestLagMonotoneProperty(t *testing.T) {
 	// Freshness is strictly decreasing in drops and always in (0, 1].
 	f := func(nRaw uint8) bool {
 		l := NewLag()
-		prev := l.Value(0)
+		prev := l.Value()
 		for i := 0; i < int(nRaw%100); i++ {
 			l.Drop()
-			v := l.Value(0)
+			v := l.Value()
 			if v <= 0 || v > 1 || v >= prev {
 				return false
 			}
@@ -46,87 +46,4 @@ func TestLagMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestTimeBased(t *testing.T) {
-	tb := NewTimeBased(10)
-	tb.Apply(100)
-	if tb.Value(100) != 1 {
-		t.Fatal("fresh right after apply")
-	}
-	if got := tb.Value(105); got != 0.5 {
-		t.Fatalf("half-life freshness = %v", got)
-	}
-	if tb.Value(110) != 0 || tb.Value(200) != 0 {
-		t.Fatal("stale beyond maxAge")
-	}
-	if tb.Value(99) != 1 {
-		t.Fatal("clock before apply should read fresh")
-	}
-}
-
-func TestTimeBasedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero maxAge did not panic")
-		}
-	}()
-	NewTimeBased(0)
-}
-
-func TestDivergence(t *testing.T) {
-	d := NewDivergence(4)
-	d.Apply(10)
-	if d.Value(0) != 1 {
-		t.Fatal("fresh after apply")
-	}
-	d.SourceChanged(12)
-	if got := d.Value(0); got != 0.5 {
-		t.Fatalf("divergence 2/4 -> %v", got)
-	}
-	d.SourceChanged(6) // |6-10| = 4 >= tolerance
-	if d.Value(0) != 0 {
-		t.Fatal("beyond tolerance must be 0")
-	}
-	d.Apply(6)
-	if d.Value(0) != 1 {
-		t.Fatal("re-apply restores freshness")
-	}
-}
-
-func TestDivergencePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive tolerance did not panic")
-		}
-	}()
-	NewDivergence(-1)
-}
-
-func TestMinAggregate(t *testing.T) {
-	if MinAggregate(nil) != 1 {
-		t.Fatal("empty read set is vacuously fresh")
-	}
-	if got := MinAggregate([]float64{1, 0.5, 0.9}); got != 0.5 {
-		t.Fatalf("min aggregate = %v", got)
-	}
-}
-
-func TestLagQueryFreshness(t *testing.T) {
-	// Eq. 1: min over items of 1/(1+drops).
-	if got := LagQueryFreshness([]int{0, 0}); got != 1 {
-		t.Fatalf("no drops -> %v", got)
-	}
-	if got := LagQueryFreshness([]int{0, 1, 3}); got != 0.25 {
-		t.Fatalf("worst item dominates: %v", got)
-	}
-	if got := LagQueryFreshness(nil); got != 1 {
-		t.Fatalf("empty -> %v", got)
-	}
-}
-
-func TestTrackerInterfaces(t *testing.T) {
-	var _ Tracker = NewLag()
-	var _ Tracker = NewTimeBased(1)
-	var _ Tracker = NewDivergence(1)
 }

@@ -8,7 +8,7 @@
 // field is read or written:
 //
 //	mu    sync.Mutex
-//	queue queryHeap // guarded by mu
+//	queue *readyq.Queue // guarded by mu
 //
 // Every method of the struct that mentions an annotated field through its
 // receiver must either contain a call to recv.<mutex>.Lock() or

@@ -97,7 +97,7 @@ func TestCancellationSkipsWorker(t *testing.T) {
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.queue) == 1
+		return s.queue.Len() == 1
 	})
 	before := s.Stats().Counts
 	cancel()
@@ -177,7 +177,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.queue) == 2
+		return s.queue.Len() == 2
 	})
 
 	drained := s.Stats() // snapshot before Close wipes the queue length
@@ -237,7 +237,7 @@ func TestShedCounter(t *testing.T) {
 	waitFor(t, func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.queue) == 1
+		return s.queue.Len() == 1
 	})
 	resp := s.Query(QueryRequest{Items: []int{2}, Deadline: time.Minute, Work: time.Millisecond})
 	if resp.Outcome != OutcomeRejected {

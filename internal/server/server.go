@@ -6,15 +6,14 @@
 // protect query timeliness; the Load Balancing Controller re-balances both
 // knobs from the windowed User Satisfaction Metric.
 //
-// The server exists to demonstrate the algorithm core (the same admission,
-// ufm, control and usm packages the simulator uses) against real
+// The server exists to demonstrate the algorithm core (the same control
+// kernel the simulator uses, internal/core/kernel) against real
 // concurrency. Query and update "work" is carried as an explicit duration
 // parameter, standing in for the computation a production deployment would
 // run.
 package server
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -22,12 +21,12 @@ import (
 	"time"
 
 	"unitdb/internal/core/admission"
-	"unitdb/internal/core/control"
-	"unitdb/internal/core/ufm"
+	"unitdb/internal/core/kernel"
 	"unitdb/internal/core/usm"
 	"unitdb/internal/datastore"
 	"unitdb/internal/obs/metrics"
 	"unitdb/internal/obs/trace"
+	"unitdb/internal/readyq"
 	"unitdb/internal/stats"
 	"unitdb/internal/txn"
 )
@@ -115,6 +114,25 @@ const (
 	OutcomeCanceled Outcome = "canceled"
 )
 
+// liveOutcomes names each final core outcome on the wire.
+var liveOutcomes = [...]Outcome{
+	txn.OutcomeSuccess:  OutcomeSuccess,
+	txn.OutcomeRejected: OutcomeRejected,
+	txn.OutcomeDMF:      OutcomeDMF,
+	txn.OutcomeDSF:      OutcomeDSF,
+}
+
+// coreOutcome maps a live outcome back to the core's; canceled, which
+// the core has no name for, maps to txn.OutcomePending.
+func coreOutcome(o Outcome) txn.Outcome {
+	for c, live := range liveOutcomes {
+		if live == o {
+			return txn.Outcome(c)
+		}
+	}
+	return txn.OutcomePending
+}
+
 // QueryRequest is a user query presented to the live server.
 type QueryRequest struct {
 	Items     []int
@@ -170,8 +188,9 @@ type Stats struct {
 	QueriesPanicked int `json:"queries_panicked"` // work panicked; recorded as DMF, worker survived
 	QueriesCanceled int `json:"queries_canceled"` // client gone; abandoned before burning a worker
 	QueriesDrained  int `json:"queries_drained"`  // queued at shutdown; resolved as rejections
-	// LBCDecisions counts allocation decisions; LBCSignals breaks the
-	// fired control signals down by name (deep-copied per snapshot).
+	// LBCDecisions counts allocation decisions; LBCSignals counts the
+	// applied actuations by the kernel's signal name — LAC, LAC-DU, TAC,
+	// DU, UU (deep-copied per snapshot).
 	LBCDecisions int            `json:"lbc_decisions"`
 	LBCSignals   map[string]int `json:"lbc_signals,omitempty"`
 	// Window carries the windowed USM when the snapshot was taken with
@@ -193,11 +212,10 @@ type WindowStats struct {
 }
 
 type liveQuery struct {
-	req   QueryRequest
-	ctx   context.Context
-	tx    *txn.Txn
-	done  chan QueryResponse
-	index int
+	req  QueryRequest
+	ctx  context.Context
+	tx   *txn.Txn
+	done chan QueryResponse
 
 	// Wall-time stage stamps (seconds since server start), for the
 	// StageBreakdown finalized with the outcome. Both are written and read
@@ -222,31 +240,6 @@ func (q *liveQuery) stagesLocked(now float64) *trace.StageBreakdown {
 	}
 	b.Total = b.Sum()
 	return b
-}
-
-type queryHeap []*liveQuery
-
-func (h queryHeap) Len() int { return len(h) }
-func (h queryHeap) Less(i, j int) bool {
-	return h[i].tx.HigherPriority(h[j].tx)
-}
-func (h queryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *queryHeap) Push(x any) {
-	q := x.(*liveQuery)
-	q.index = len(*h)
-	*h = append(*h, q)
-}
-func (h *queryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	q := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return q
 }
 
 // Server is the live web-database. Create with New, stop with Close.
@@ -274,22 +267,19 @@ type Server struct {
 
 	// The algorithm cores are single-threaded objects; mu serializes
 	// every call into them.
-	store *datastore.Store      // guarded by mu
-	ac    *admission.Controller // guarded by mu
-	mod   *ufm.Modulator        // guarded by mu
-	lbc   *control.LBC          // guarded by mu
-	acct  *usm.Accountant       // guarded by mu
-	rng   *stats.RNG            // guarded by mu
+	store *datastore.Store     // guarded by mu
+	k     *kernel.Kernel       // guarded by mu
+	acct  *usm.ClassAccountant // guarded by mu
 
-	queue   queryHeap // guarded by mu
-	backlog float64   // guarded by mu; queued work, seconds
-	running float64   // guarded by mu; in-flight work, seconds
+	queue   *readyq.Queue           // guarded by mu; queries only, EDF
+	queued  map[*txn.Txn]*liveQuery // guarded by mu; the request behind each queued txn
+	backlog float64                 // guarded by mu; queued work, seconds
+	running float64                 // guarded by mu; in-flight work, seconds
 
-	lastApplied   []time.Time  // guarded by mu
-	lastArrival   []time.Time  // guarded by mu
-	interArrival  []stats.EWMA // guarded by mu
-	sinceDecision usm.Counts   // guarded by mu
-	lastDecision  time.Time    // guarded by mu
+	lastApplied  []time.Time  // guarded by mu
+	lastArrival  []time.Time  // guarded by mu
+	interArrival []stats.EWMA // guarded by mu
+	feeds        int          // guarded by mu; items whose first update arrived
 
 	updatesApplied int   // guarded by mu
 	updatesDropped int   // guarded by mu
@@ -304,9 +294,6 @@ type Server struct {
 	// recorder); set in New, immutable afterwards, internally
 	// synchronized — hot-path updates are atomics outside mu.
 	obs *serverObs
-
-	lbcDecisions int            // guarded by mu
-	signals      map[string]int // guarded by mu; fired control signals by name
 
 	winLog  []outcomeStamp // guarded by mu; ring of recent finalized outcomes
 	winNext int            // guarded by mu; next ring slot once full
@@ -332,9 +319,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MinDecisionSamples <= 0 {
 		cfg.MinDecisionSamples = 20
-	}
-	if cfg.DegradeBatch <= 0 {
-		cfg.DegradeBatch = cfg.NumItems
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4096
@@ -363,30 +347,32 @@ func New(cfg Config) (*Server, error) {
 	for i := range ideal {
 		ideal[i] = math.Inf(1) // learned online from feed inter-arrivals
 	}
-	rng := stats.NewRNG(cfg.Seed)
 	s := &Server{
 		cfg:          cfg,
 		start:        time.Now(),
 		store:        datastore.New(cfg.NumItems),
-		ac:           admission.New(cfg.Weights),
-		mod:          ufm.New(ideal, rng.Split()),
-		lbc:          control.New(cfg.Weights, rng.Split()),
-		acct:         usm.NewAccountant(cfg.Weights),
-		rng:          rng,
+		acct:         usm.NewClassAccountant(cfg.Weights, nil),
+		queue:        readyq.New(),
+		queued:       make(map[*txn.Txn]*liveQuery),
 		lastApplied:  make([]time.Time, cfg.NumItems),
 		lastArrival:  make([]time.Time, cfg.NumItems),
 		interArrival: make([]stats.EWMA, cfg.NumItems),
 		obs:          newServerObs(cfg.obsRegistry, cfg.TraceCap, cfg.Trace, cfg.obsLabels...),
-		signals:      make(map[string]int),
 		nextID:       cfg.FirstID,
 		stopCh:       make(chan struct{}),
 	}
-	s.obs.cflex.Set(s.ac.CFlex())
+	s.k = kernel.New(kernel.Config{
+		Weights:            cfg.Weights,
+		GracePeriod:        cfg.GracePeriod.Seconds(),
+		DegradeBatch:       cfg.DegradeBatch,
+		MinDecisionSamples: cfg.MinDecisionSamples,
+		Seed:               cfg.Seed,
+	}, ideal, s.obs.rec)
+	s.obs.cflex.Set(s.k.AC.CFlex())
 	for i := range s.interArrival {
 		s.interArrival[i] = *stats.NewEWMA(0.3)
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.lastDecision = s.start
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -411,7 +397,8 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	close(s.stopCh)
-	for _, q := range s.queue {
+	for tx := s.queue.Pop(); tx != nil; tx = s.queue.Pop() {
+		q := s.queued[tx]
 		s.drained++
 		s.obs.drained.Inc()
 		s.backlog -= q.req.Work.Seconds()
@@ -419,7 +406,7 @@ func (s *Server) Close() {
 		s.finalizeLocked(q.tx, txn.OutcomeRejected, st)
 		q.done <- QueryResponse{Outcome: OutcomeRejected, Query: q.tx.ID, Stages: st}
 	}
-	s.queue = nil
+	clear(s.queued)
 	s.queueGaugesLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -446,24 +433,24 @@ func (s *Server) slowTop(n int) []slowEntry { return s.obs.slow.topN(n) }
 // queueGaugesLocked refreshes the queue-shape gauges. Called at every
 // mutation of the ready queue so a /metrics scrape never needs s.mu.
 func (s *Server) queueGaugesLocked() {
-	s.obs.queueLen.Set(float64(len(s.queue)))
+	s.obs.queueLen.Set(float64(s.queue.Len()))
 	s.obs.backlog.Set(s.backlog)
 }
 
-// queueView adapts the live queue to admission.QueueView.
+// queueView adapts the live ready queue to admission.QueueView.
 type queueView struct {
 	running float64
-	queued  []*txn.Txn
+	queue   *readyq.Queue
 }
 
 func (v queueView) RunningRemaining() float64 { return v.running }
 func (v queueView) UpdateBacklog() float64    { return 0 } // updates apply inline
-func (v queueView) QueuedQueries() []*txn.Txn { return v.queued }
+func (v queueView) QueuedQueries() []*txn.Txn { return v.queue.Queries() }
 
 // AppendQueuedQueries implements admission.BulkView: the controller
-// reuses its own scratch buffer instead of copying v.queued again.
+// reads the queue into its own scratch buffer, no per-query snapshot.
 func (v queueView) AppendQueuedQueries(buf []*txn.Txn) []*txn.Txn {
-	return append(buf, v.queued...)
+	return v.queue.AppendQueries(buf)
 }
 
 // Query submits a user query and blocks until it resolves (success, any
@@ -510,11 +497,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	s.nextID++
 	tx := txn.NewQuery(s.nextID, now, req.Items, req.Work.Seconds(), req.Deadline.Seconds(), req.Freshness)
 	s.obs.rec.Record(trace.Event{T: now, Kind: trace.KindArrive, Query: tx.ID, Items: len(tx.Items), Deadline: tx.Deadline})
-	view := queueView{running: s.running, queued: make([]*txn.Txn, 0, len(s.queue))}
-	for _, q := range s.queue {
-		view.queued = append(view.queued, q.tx)
-	}
-	if len(s.queue) >= s.cfg.MaxQueue {
+	if s.queue.Len() >= s.cfg.MaxQueue {
 		// Overload backstop, distinct from the algorithm's admission gate.
 		s.shed++
 		s.obs.shed.Inc()
@@ -523,7 +506,7 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 		s.mu.Unlock()
 		return QueryResponse{Outcome: OutcomeRejected, Latency: time.Since(started), Query: tx.ID}
 	}
-	if s.ac.Admit(now, tx, view) != admission.Admitted {
+	if s.k.AC.Admit(now, tx, queueView{running: s.running, queue: s.queue}) != admission.Admitted {
 		s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindReject, Query: tx.ID})
 		s.finalizeLocked(tx, txn.OutcomeRejected, nil)
 		s.mu.Unlock()
@@ -531,7 +514,8 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	}
 	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindAdmit, Query: tx.ID})
 	q := &liveQuery{req: req, ctx: ctx, tx: tx, done: make(chan QueryResponse, 1), enqueuedAt: s.now()}
-	heap.Push(&s.queue, q)
+	s.queue.Push(tx)
+	s.queued[tx] = q
 	s.backlog += req.Work.Seconds()
 	s.obs.rec.Record(trace.Event{T: s.now(), Kind: trace.KindQueue, Query: tx.ID})
 	s.queueGaugesLocked()
@@ -541,8 +525,8 @@ func (s *Server) queryCtx(ctx context.Context, req QueryRequest) QueryResponse {
 	// dequeue removes q when it is still queued; ok=false means a worker
 	// got to it first (or shutdown drained it) and its verdict is coming.
 	dequeue := func() bool {
-		if q.index >= 0 && q.index < len(s.queue) && s.queue[q.index] == q {
-			heap.Remove(&s.queue, q.index)
+		if s.queue.Remove(q.tx) {
+			delete(s.queued, q.tx)
 			s.backlog -= q.req.Work.Seconds()
 			s.queueGaugesLocked()
 			return true
@@ -601,21 +585,23 @@ func (s *Server) Update(req UpdateRequest) (bool, error) {
 	}
 	now := time.Now()
 	// Learn the feed's ideal period from observed inter-arrival times.
-	if !s.lastArrival[req.Item].IsZero() {
-		s.interArrival[req.Item].Observe(now.Sub(s.lastArrival[req.Item]).Seconds())
+	if last := s.lastArrival[req.Item]; last.IsZero() {
+		s.feeds++ // the feed's first update: one more feed to warm up on
+	} else {
+		s.interArrival[req.Item].Observe(now.Sub(last).Seconds())
 	}
 	s.lastArrival[req.Item] = now
 	if p := s.interArrival[req.Item].Value(); p > 0 {
-		s.mod.SetIdealPeriod(req.Item, p)
+		s.k.Mod.SetIdealPeriod(req.Item, p)
 	}
-	s.mod.OnUpdate(req.Item, req.Work.Seconds())
+	s.k.Mod.OnUpdate(req.Item, req.Work.Seconds())
 
 	// Throttle only items the controller actually degraded. Live feeds
 	// jitter, so comparing each inter-arrival against the learned mean
 	// period would drop roughly half of a healthy feed's writes; an
 	// undegraded item therefore always applies.
-	period := s.mod.Period(req.Item)
-	ideal := s.mod.IdealPeriod(req.Item)
+	period := s.k.Mod.Period(req.Item)
+	ideal := s.k.Mod.IdealPeriod(req.Item)
 	degradedItem := !math.IsInf(ideal, 1) && period > ideal*(1+1e-9)
 	if degradedItem && !s.lastApplied[req.Item].IsZero() {
 		if now.Sub(s.lastApplied[req.Item]).Seconds() < period*(1-1e-9) {
@@ -693,21 +679,15 @@ func (s *Server) StatsWindow(window time.Duration) Stats {
 }
 
 func (s *Server) statsLocked() Stats {
-	counts := s.acct.Total()
-	// Deep-copy the signal map: the live map keeps mutating under mu
-	// after the snapshot escapes.
-	signals := make(map[string]int, len(s.signals))
-	for k, v := range s.signals {
-		signals[k] = v
-	}
+	counts := s.acct.Total().Counts
 	return Stats{
 		Counts:            counts,
 		USM:               counts.USM(s.cfg.Weights),
-		CFlex:             s.ac.CFlex(),
-		DegradedItems:     s.mod.DegradedCount(),
+		CFlex:             s.k.AC.CFlex(),
+		DegradedItems:     s.k.Mod.DegradedCount(),
 		UpdatesApplied:    s.updatesApplied,
 		UpdatesDropped:    s.updatesDropped,
-		QueueLength:       len(s.queue),
+		QueueLength:       s.queue.Len(),
 		StaleItems:        s.store.StaleItems(),
 		RetryAfterSeconds: s.retryAfterLocked().Seconds(),
 
@@ -716,8 +696,8 @@ func (s *Server) statsLocked() Stats {
 		QueriesCanceled: s.canceled,
 		QueriesDrained:  s.drained,
 
-		LBCDecisions: s.lbcDecisions,
-		LBCSignals:   signals,
+		LBCDecisions: s.k.Decisions(),
+		LBCSignals:   s.k.Signals(), // a copy: the kernel keeps counting under mu
 	}
 }
 
@@ -773,9 +753,9 @@ func (s *Server) retryAfterLocked() time.Duration {
 //unitlint:outcome tx
 func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageBreakdown) {
 	tx.Outcome = o
-	s.acct.Record(o)
+	s.acct.Record(o, tx.PrefClass)
 	for _, item := range tx.Items {
-		s.mod.OnQueryAccess(item, tx.EstExec, tx.RelDeadline)
+		s.k.Mod.OnQueryAccess(item, tx.EstExec, tx.RelDeadline)
 	}
 	if stages == nil {
 		// Rejected at admission: nothing accrued, mirroring the engine's
@@ -791,8 +771,7 @@ func (s *Server) finalizeLocked(tx *txn.Txn, o txn.Outcome, stages *trace.StageB
 		s.winLog[s.winNext] = st
 		s.winNext = (s.winNext + 1) % winLogCap
 	}
-	total := s.acct.Total()
-	s.obs.usmTotal.Set(total.USM(s.cfg.Weights))
+	s.obs.usmTotal.Set(s.acct.Total().Counts.USM(s.cfg.Weights))
 }
 
 // worker pops EDF queries and executes them.
@@ -802,14 +781,16 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
+		for s.queue.Len() == 0 && !s.closed {
 			s.cond.Wait()
 		}
 		if s.closed {
 			s.mu.Unlock()
 			return
 		}
-		q := heap.Pop(&s.queue).(*liveQuery)
+		tx := s.queue.Pop()
+		q := s.queued[tx]
+		delete(s.queued, tx)
 		s.backlog -= q.req.Work.Seconds()
 		s.queueGaugesLocked()
 		if q.ctx != nil && q.ctx.Err() != nil {
@@ -906,61 +887,18 @@ func (s *Server) controlLoop() {
 	}
 }
 
+// controlTick rolls the outcome window over into the control kernel
+// and mirrors a decision into the metrics; the kernel logs it.
 func (s *Server) controlTick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sinceDecision.Add(s.acct.Rollover())
-	windowUSM := s.sinceDecision.USM(s.cfg.Weights)
+	windowUSM, a, decided := s.k.Tick(s.now(), s.acct.Rollover(), s.feeds)
 	s.obs.usmWindow.Set(windowUSM)
-	if s.sinceDecision.Total() < s.cfg.MinDecisionSamples {
+	if !decided {
 		return
 	}
-	samples := s.sinceDecision.Total()
-	trigger := time.Since(s.lastDecision) >= s.cfg.GracePeriod
-	dropped := s.lbc.DropTriggered(windowUSM)
-	if dropped {
-		trigger = true
-	}
-	if !trigger {
-		return
-	}
-	action, costs := s.lbc.DecideExplained(s.sinceDecision)
-	s.sinceDecision = usm.Counts{}
-	s.lastDecision = time.Now()
-	if action.LoosenAC {
-		s.ac.Loosen()
-		s.signals["loosen_ac"]++
-	}
-	if action.TightenAC {
-		s.ac.Tighten()
-		s.signals["tighten_ac"]++
-	}
-	if action.DegradeUpdate {
-		s.mod.DegradeN(s.cfg.DegradeBatch)
-		s.signals["degrade_update"]++
-	}
-	if action.UpgradeUpdate {
-		s.mod.Upgrade()
-		s.signals["upgrade_update"]++
-	}
-	s.lbcDecisions++
-	// Log the decision after applying it, so CFlex and DegradedItems show
-	// the resulting actuator settings (the decision log mirrors Fig. 2:
-	// weighted-cost inputs on the left, chosen allocation on the right).
-	s.obs.rec.RecordDecision(trace.Decision{
-		T:             s.now(),
-		Samples:       samples,
-		WindowUSM:     windowUSM,
-		RCost:         costs.R,
-		FmCost:        costs.Fm,
-		FsCost:        costs.Fs,
-		DropTriggered: dropped,
-		Action:        action.String(),
-		CFlex:         s.ac.CFlex(),
-		DegradedItems: s.mod.DegradedCount(),
-	})
-	s.obs.cflex.Set(s.ac.CFlex())
-	s.obs.degraded.Set(float64(s.mod.DegradedCount()))
+	s.obs.cflex.Set(s.k.AC.CFlex())
+	s.obs.degraded.Set(float64(s.k.Mod.DegradedCount()))
 	s.obs.staleness.Set(float64(s.store.StaleItems()))
-	s.obs.recordActions(action.LoosenAC, action.TightenAC, action.DegradeUpdate, action.UpgradeUpdate)
+	s.obs.recordActions(a.LoosenAC, a.TightenAC, a.DegradeUpdate, a.UpgradeUpdate)
 }

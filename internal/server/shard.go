@@ -15,6 +15,7 @@ import (
 	"unitdb/internal/engine"
 	"unitdb/internal/obs/metrics"
 	"unitdb/internal/obs/trace"
+	"unitdb/internal/txn"
 )
 
 // Sharded is the front door over N independent live Servers. Items hash
@@ -186,13 +187,15 @@ func (g *Sharded) scatter(ctx context.Context, req QueryRequest, groups [][]int,
 	}
 	wg.Wait()
 
-	outcome := OutcomeSuccess
+	outcome, canceled := txn.OutcomeSuccess, false
 	fresh := math.Inf(1)
 	values := make(map[string]float64, len(req.Items))
 	slowest := 0
 	for k, sub := range subs {
-		if outcomeRank[sub.Outcome] > outcomeRank[outcome] {
-			outcome = sub.Outcome
+		if sub.Outcome == OutcomeCanceled {
+			canceled = true
+		} else {
+			outcome = txn.MergeOutcome(outcome, coreOutcome(sub.Outcome))
 		}
 		if sub.Outcome == OutcomeSuccess || sub.Outcome == OutcomeDSF {
 			if sub.Freshness < fresh {
@@ -209,9 +212,15 @@ func (g *Sharded) scatter(ctx context.Context, req QueryRequest, groups [][]int,
 	if math.IsInf(fresh, 1) {
 		fresh = 0 // no slice committed
 	}
+	// A canceled slice means the client is gone, which trumps everything;
+	// otherwise the scatter-gather law of txn.MergeOutcome decides.
+	logical := liveOutcomes[outcome]
+	if canceled {
+		logical = OutcomeCanceled
+	}
 	merged := QueryResponse{Freshness: fresh}
-	merged.Outcome = outcome
-	if outcome == OutcomeSuccess || outcome == OutcomeDSF {
+	merged.Outcome = logical
+	if logical == OutcomeSuccess || logical == OutcomeDSF {
 		merged.Values = values
 	}
 	// The slowest slice is the query's critical path: its id and stage
@@ -220,18 +229,6 @@ func (g *Sharded) scatter(ctx context.Context, req QueryRequest, groups [][]int,
 	merged.Query = subs[slowest].Query
 	merged.Stages = subs[slowest].Stages
 	return merged
-}
-
-// outcomeRank orders the gather precedence: canceled > rejected >
-// deadline-missed > data-stale > success. Any rejected slice makes the
-// logical query rejected (admit-iff-every-touched-shard-admits); a
-// canceled slice means the client is gone, which trumps everything.
-var outcomeRank = map[Outcome]int{
-	OutcomeSuccess:  0,
-	OutcomeDSF:      1,
-	OutcomeDMF:      2,
-	OutcomeRejected: 3,
-	OutcomeCanceled: 4,
 }
 
 // Update routes an update-feed write to the shard owning its item.

@@ -64,6 +64,32 @@ func (o Outcome) String() string {
 	}
 }
 
+// MergeOutcome is the scatter-gather precedence law: the outcome of a
+// logical query, one of whose slices resolved as a and another as b, is
+// the worse of the two — rejected > DMF > DSF > success. A rejected slice
+// rejects the query (admit iff every touched shard admits); otherwise a
+// missed deadline misses it; otherwise one stale slice makes it stale.
+// Both front doors (internal/engine, internal/server) fold their slices
+// with it, starting from OutcomeSuccess.
+func MergeOutcome(a, b Outcome) Outcome {
+	if gatherRank(b) > gatherRank(a) {
+		return b
+	}
+	return a
+}
+
+func gatherRank(o Outcome) int {
+	switch o {
+	case OutcomeRejected:
+		return 3
+	case OutcomeDMF:
+		return 2
+	case OutcomeDSF:
+		return 1
+	}
+	return 0
+}
+
 // Txn is one transaction instance flowing through the system. A query
 // reads Items under shared locks; an update writes Items[0] under an
 // exclusive lock. Times are in seconds; Deadline is absolute.

@@ -130,3 +130,21 @@ func TestBlockedFlag(t *testing.T) {
 		t.Fatal("SetBlocked(true) lost")
 	}
 }
+
+// TestMergeOutcomePrecedence pins the scatter-gather law over every
+// ordered pair of final outcomes: rejected > DMF > DSF > success, and
+// the fold is commutative.
+func TestMergeOutcomePrecedence(t *testing.T) {
+	order := []Outcome{OutcomeSuccess, OutcomeDSF, OutcomeDMF, OutcomeRejected} // weakest first
+	for i, a := range order {
+		for j, b := range order {
+			want := a
+			if j > i {
+				want = b
+			}
+			if got := MergeOutcome(a, b); got != want {
+				t.Errorf("MergeOutcome(%v, %v) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}
